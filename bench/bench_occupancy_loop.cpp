@@ -28,7 +28,7 @@ namespace {
 // reproducible across platforms, unlike std::normal_distribution.
 double gaussian(std::uint64_t seed, std::uint64_t k) {
   const auto uniform = [](std::uint64_t x) {
-    return (static_cast<double>(sim::splitmix64(x) >> 11) + 0.5) /
+    return (static_cast<double>(core::splitmix64(x) >> 11) + 0.5) /
            9007199254740992.0;  // (0, 1), 53-bit
   };
   const double u = uniform(seed + 2 * k);

@@ -87,10 +87,9 @@ struct SpectralAnalysis {
 /// kAuto). `max_pairs` bounds the spectrum: 0 means the full spectrum;
 /// a positive value below n computes only the `max_pairs` smallest
 /// eigenpairs via the tridiagonal partial path — or, for kLanczos, via
-/// the sparse CSR path that never forms the dense Laplacian. Jacobi is
-/// the full-spectrum reference implementation and ignores `max_pairs`;
-/// kLanczos without a usable `max_pairs` falls back to the dense
-/// tridiagonal solver.
+/// the sparse CSR path that never forms the dense Laplacian. kLanczos
+/// without a usable `max_pairs` falls back to the dense tridiagonal
+/// solver.
 [[nodiscard]] SpectralAnalysis analyze_spectrum(
     const linalg::Matrix& weights,
     LaplacianKind kind = LaplacianKind::kSymmetricNormalized,
@@ -137,15 +136,6 @@ struct SpectralOptions {
   /// objective and hiding the spatial partition.
   bool normalize_rows = true;
   KMeansOptions kmeans;
-  /// Which eigensolver computes the Laplacian spectrum. kAuto keeps the
-  /// paper-scale graphs (n < linalg::kEigenAutoThreshold) on the Jacobi
-  /// reference — bitwise identical to historical results — routes larger
-  /// graphs through the tridiagonal partial path (only needed_eigenpairs()
-  /// pairs instead of the full spectrum), and from
-  /// linalg::kEigenSparseThreshold vertices up switches to the sparse
-  /// CSR + Lanczos path (pair with GraphSparsification::kKnn so the
-  /// Laplacian is actually sparse).
-  linalg::EigenMethod eigen_method = linalg::EigenMethod::kAuto;
 };
 
 /// Number of smallest eigenpairs spectral clustering actually consumes
@@ -155,9 +145,13 @@ struct SpectralOptions {
 [[nodiscard]] std::size_t needed_eigenpairs(const SpectralOptions& options,
                                             std::size_t n);
 
-/// Run spectral clustering on a similarity graph.
-/// Throws std::invalid_argument when cluster_count exceeds the vertex
-/// count.
+/// Run spectral clustering on a similarity graph. The spectrum comes from
+/// analyze_spectrum() under EigenMethod::kAuto with needed_eigenpairs()
+/// pairs: the tridiagonal partial path, and from
+/// linalg::kEigenSparseThreshold vertices up the sparse CSR + Lanczos
+/// path (pair with GraphSparsification::kKnn so the Laplacian is actually
+/// sparse). Throws std::invalid_argument when cluster_count exceeds the
+/// vertex count.
 [[nodiscard]] ClusteringResult spectral_cluster(
     const SimilarityGraph& graph, const SpectralOptions& options = {});
 

@@ -155,20 +155,14 @@ SpectralAnalysis analyze_spectrum(const linalg::Matrix& weights,
     eig = linalg::eigen_symmetric_smallest_sparse(laplacian_csr(weights, kind),
                                                   max_pairs);
   } else {
+    // Dense path; a Lanczos request without a usable max_pairs falls back
+    // to it (full spectrum, same output contract).
     const auto l = kind == LaplacianKind::kUnnormalized
                        ? laplacian(weights)
                        : normalized_laplacian(weights);
-    if (resolved == linalg::EigenMethod::kTridiagonal ||
-        resolved == linalg::EigenMethod::kLanczos) {
-      // A Lanczos request without a usable max_pairs falls back to the
-      // dense solver of the same output contract (full spectrum).
-      eig = max_pairs > 0 && max_pairs < l.rows()
-                ? linalg::eigen_symmetric_smallest(l, max_pairs)
-                : linalg::eigen_symmetric_tridiagonal(l);
-    } else {
-      // Jacobi is the full-spectrum reference; max_pairs does not apply.
-      eig = linalg::eigen_symmetric(l);
-    }
+    eig = max_pairs > 0 && max_pairs < l.rows()
+              ? linalg::eigen_symmetric_smallest(l, max_pairs)
+              : linalg::eigen_symmetric_tridiagonal(l);
   }
   SpectralAnalysis a;
   a.eigenvalues = std::move(eig.eigenvalues);
@@ -214,7 +208,8 @@ ClusteringResult spectral_cluster(const SimilarityGraph& graph,
                                   const SpectralOptions& options) {
   return spectral_cluster(
       graph,
-      analyze_spectrum(graph.weights, options.laplacian, options.eigen_method,
+      analyze_spectrum(graph.weights, options.laplacian,
+                       linalg::EigenMethod::kAuto,
                        needed_eigenpairs(options, graph.channels.size())),
       options);
 }

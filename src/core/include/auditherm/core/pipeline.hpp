@@ -93,9 +93,10 @@ struct StageArtifacts {
   std::shared_ptr<const std::vector<linalg::Vector>> cluster_means;
   /// Train-day AND mode rows on the source trace (cheap, never cached).
   std::vector<bool> train_mode_mask;
-  /// Resolved input plan (null when the run uses raw input_ids — the
-  /// ground-truth default). Owns the derived columns, so augmented views
-  /// built from it stay valid as long as the artifacts are.
+  /// Resolved input plan (never null; without a RunOptions::input_plan it
+  /// is the ground-truth resolution of the raw input_ids). Owns the
+  /// derived columns, so augmented views built from it stay valid as long
+  /// as the artifacts are.
   std::shared_ptr<const sysid::ResolvedInputPlan> inputs;
 };
 
@@ -121,8 +122,8 @@ struct RunOptions {
   /// or without a sink (pinned by test_obs).
   obs::Recorder* metrics = nullptr;
   /// Input-source plan for the identification input block. Null (the
-  /// default) reads the passed input_ids literally — the pre-plan
-  /// behavior, bit for bit. When set, the plan's resolved channel ids
+  /// default) reads the passed input_ids literally, as their ground-truth
+  /// plan would. When set, the plan's resolved channel ids
   /// replace input_ids and its fingerprint enters the stage keys, so
   /// cached artifacts never alias across input sources. Ignored when
   /// `artifacts` is set (the artifacts carry their own resolved plan).
@@ -171,7 +172,8 @@ class ThermalModelingPipeline {
   /// means. Strategy and seed do not enter the cache keys, so every case
   /// of a sweep resolves to the same entries. A non-null `input_plan` is
   /// resolved against the training split and its fingerprint folded into
-  /// every stage key; null keeps the raw input_ids path bit for bit.
+  /// every stage key; null resolves input_ids as ground truth
+  /// (fingerprint 0).
   [[nodiscard]] StageArtifacts prepare(
       const timeseries::MultiTrace& trace, const hvac::Schedule& schedule,
       const DataSplit& split,
@@ -185,7 +187,6 @@ class ThermalModelingPipeline {
   [[nodiscard]] PipelineResult run_from(
       const StageArtifacts& artifacts, const timeseries::MultiTrace& trace,
       const std::vector<timeseries::ChannelId>& sensor_ids,
-      const std::vector<timeseries::ChannelId>& input_ids,
       const std::vector<timeseries::ChannelId>& thermostat_ids) const;
 
   PipelineConfig config_;

@@ -23,7 +23,7 @@ std::vector<ChannelId> unique_ordered(const std::vector<ChannelId>& ids) {
   return out;
 }
 
-void add_similarity_options(StageKeyHasher& h,
+void add_similarity_options(Fnv1a64& h,
                             const clustering::SimilarityOptions& o) {
   h.add(static_cast<std::uint64_t>(o.metric));
   h.add(o.sigma);
@@ -36,7 +36,7 @@ void add_similarity_options(StageKeyHasher& h,
 
 /// Everything spectral_cluster consumes *beyond* the spectrum itself
 /// (the Laplacian kind is folded into the spectrum stage's key).
-void add_spectral_options(StageKeyHasher& h,
+void add_spectral_options(Fnv1a64& h,
                           const clustering::SpectralOptions& o) {
   h.add(static_cast<std::uint64_t>(o.cluster_count));
   h.add(static_cast<std::uint64_t>(o.k_min));
@@ -95,18 +95,22 @@ StageArtifacts ThermalModelingPipeline::prepare(
   art.train_mode_mask = and_masks(split.train_mask, mode_mask);
 
   // --- Input-plan resolution (not cached: calibration is cheap and its
-  // result is what the fingerprint below keys everything else on). -------
+  // result is what the fingerprint below keys everything else on). No
+  // plan reads input_ids literally: the resolution of their ground-truth
+  // plan, whose fingerprint is 0. -----------------------------------------
+  sysid::ResolvedInputPlan resolved;
   if (input_plan != nullptr) {
-    art.inputs = std::make_shared<const sysid::ResolvedInputPlan>(
-        sysid::resolve_input_plan(*input_plan, trace, split.train_mask));
+    resolved = sysid::resolve_input_plan(*input_plan, trace, split.train_mask);
+  } else {
+    resolved.channel_ids = input_ids;
   }
-  const std::vector<ChannelId>& effective_inputs =
-      art.inputs != nullptr ? art.inputs->channel_ids : input_ids;
-  // 0 with no plan or a pure ground-truth one — folded unconditionally so
+  art.inputs =
+      std::make_shared<const sysid::ResolvedInputPlan>(std::move(resolved));
+  const std::vector<ChannelId>& effective_inputs = art.inputs->channel_ids;
+  // 0 for a pure ground-truth plan — folded unconditionally so
   // ground-truth runs all key identically while any non-trivial plan (or
   // recalibration) re-keys the whole chain.
-  const std::uint64_t inputs_fp =
-      art.inputs != nullptr ? art.inputs->fingerprint : 0;
+  const std::uint64_t inputs_fp = art.inputs->fingerprint;
 
   // Runs a stage through the cache, or builds it inline when uncached;
   // both paths execute the same builder, which is what makes cached and
@@ -131,7 +135,7 @@ StageArtifacts ThermalModelingPipeline::prepare(
   // Cached, the view must outlive the caller, so the cache stores a
   // materialized copy (built by the same filter, so identical bits) and
   // the view reads that.
-  StageKeyHasher train_h;
+  Fnv1a64 train_h;
   train_h.add(fp);
   train_h.add(inputs_fp);
   train_h.add(split.train_mask);
@@ -151,7 +155,7 @@ StageArtifacts ThermalModelingPipeline::prepare(
   }
 
   // --- Similarity graph over the dense network. --------------------------
-  StageKeyHasher graph_h;
+  Fnv1a64 graph_h;
   graph_h.add(train_key);
   graph_h.add(sensor_ids);
   add_similarity_options(graph_h, config_.similarity);
@@ -163,19 +167,15 @@ StageArtifacts ThermalModelingPipeline::prepare(
 
   // --- Laplacian eigendecomposition (the expensive operator). ------------
   // The key folds in the resolved solver and the partial-spectrum width so
-  // a partial artifact can never be mistaken for a full one. On the Jacobi
-  // path (paper-scale graphs under kAuto) the pair count is 0 = full
-  // spectrum, so sweep cases with different k keep sharing one spectrum
-  // artifact exactly as before this knob existed.
+  // a partial artifact can never be mistaken for a full one. The width is
+  // max(cluster_count, k_max + 1), so sweep cases over k <= k_max + 1
+  // share one spectrum artifact.
   const std::size_t vertex_count = art.graph->weights.rows();
-  const auto eigen_method = linalg::resolve_eigen_method(
-      config_.spectral.eigen_method, vertex_count);
+  const auto eigen_method =
+      linalg::resolve_eigen_method(linalg::EigenMethod::kAuto, vertex_count);
   const std::size_t eigen_pairs =
-      eigen_method == linalg::EigenMethod::kTridiagonal ||
-              eigen_method == linalg::EigenMethod::kLanczos
-          ? clustering::needed_eigenpairs(config_.spectral, vertex_count)
-          : 0;
-  StageKeyHasher spectrum_h;
+      clustering::needed_eigenpairs(config_.spectral, vertex_count);
+  Fnv1a64 spectrum_h;
   spectrum_h.add(graph_key);
   spectrum_h.add(static_cast<std::uint64_t>(config_.spectral.laplacian));
   spectrum_h.add(static_cast<std::uint64_t>(eigen_method));
@@ -188,7 +188,7 @@ StageArtifacts ThermalModelingPipeline::prepare(
   });
 
   // --- Clustering: eigengap + k-means on the spectral embedding. ---------
-  StageKeyHasher cluster_h;
+  Fnv1a64 cluster_h;
   cluster_h.add(spectrum_key);
   add_spectral_options(cluster_h, config_.spectral);
   const std::uint64_t cluster_key = cluster_h.value();
@@ -214,7 +214,7 @@ StageArtifacts ThermalModelingPipeline::prepare(
   // Input validity is checked on the plan-augmented view: a derived input
   // (estimated occupancy) has its own gaps, so the windows — like every
   // downstream fit — see exactly the columns the model will consume.
-  StageKeyHasher windows_h;
+  Fnv1a64 windows_h;
   windows_h.add(fp);
   windows_h.add(inputs_fp);
   windows_h.add(split.validation_mask);
@@ -222,9 +222,7 @@ StageArtifacts ThermalModelingPipeline::prepare(
   windows_h.add(effective_inputs);
   windows_h.add(static_cast<std::uint64_t>(config_.evaluation.min_steps));
   art.windows = run_stage(stage::kWindows, windows_h.value(), [&] {
-    const timeseries::TraceView full =
-        art.inputs != nullptr ? art.inputs->augment(trace)
-                              : timeseries::TraceView(trace);
+    const timeseries::TraceView full = art.inputs->augment(trace);
     auto window_mask = and_masks(split.validation_mask, mode_mask);
     window_mask = and_masks(
         window_mask, timeseries::rows_with_all_valid(full, effective_inputs));
@@ -238,22 +236,17 @@ StageArtifacts ThermalModelingPipeline::prepare(
 PipelineResult ThermalModelingPipeline::run_from(
     const StageArtifacts& artifacts, const timeseries::MultiTrace& trace,
     const std::vector<ChannelId>& sensor_ids,
-    const std::vector<ChannelId>& input_ids,
     const std::vector<ChannelId>& thermostat_ids) const {
   const ThreadCountScope thread_scope(config_.threads);
   const timeseries::TraceView& training = artifacts.training;
   const auto& clusters = *artifacts.clusters;
 
-  // Resolved input plan (when present) supersedes the raw input ids: the
-  // fit and every evaluation read the plan-augmented view, whose derived
-  // columns the artifacts keep alive. Without a plan `full` is the plain
-  // whole-trace view — the exact object the implicit conversions below
-  // used to build.
+  // The fit and every evaluation read the plan-augmented view, whose
+  // derived columns the artifacts keep alive; for a ground-truth plan it
+  // is the plain whole-trace view.
   const std::vector<ChannelId>& effective_inputs =
-      artifacts.inputs != nullptr ? artifacts.inputs->channel_ids : input_ids;
-  const timeseries::TraceView full = artifacts.inputs != nullptr
-                                         ? artifacts.inputs->augment(trace)
-                                         : timeseries::TraceView(trace);
+      artifacts.inputs->channel_ids;
+  const timeseries::TraceView full = artifacts.inputs->augment(trace);
 
   PipelineResult result;
   result.clustering = *artifacts.clustering;
@@ -328,14 +321,13 @@ PipelineResult ThermalModelingPipeline::run(
   const ThreadCountScope thread_scope(config_.threads);
   PipelineResult result;
   if (options.artifacts != nullptr) {
-    result = run_from(*options.artifacts, trace, sensor_ids, input_ids,
+    result = run_from(*options.artifacts, trace, sensor_ids,
                       options.thermostat_ids);
   } else {
     const auto artifacts = prepare(trace, schedule, split, sensor_ids,
                                    input_ids, options.cache,
                                    options.input_plan);
-    result = run_from(artifacts, trace, sensor_ids, input_ids,
-                      options.thermostat_ids);
+    result = run_from(artifacts, trace, sensor_ids, options.thermostat_ids);
   }
   if (rec != nullptr) {
     rec->metrics().observe(pipeline_metrics().run_us,

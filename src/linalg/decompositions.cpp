@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "auditherm/core/hash.hpp"
 #include "auditherm/core/parallel.hpp"
 #include "auditherm/obs/trace_span.hpp"
 
@@ -398,75 +399,6 @@ Matrix CholeskyDecomposition::solve(const Matrix& b) const {
   return x;
 }
 
-double CholeskyDecomposition::log_determinant() const noexcept {
-  double s = 0.0;
-  for (std::size_t i = 0; i < l_.rows(); ++i) s += std::log(l_(i, i));
-  return 2.0 * s;
-}
-
-// ---------------------------------------------------------------------------
-// LU
-// ---------------------------------------------------------------------------
-
-LuDecomposition::LuDecomposition(const Matrix& a) : lu_(a), perm_(a.rows()) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("LuDecomposition: matrix not square");
-  }
-  const std::size_t n = a.rows();
-  std::iota(perm_.begin(), perm_.end(), std::size_t{0});
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t p = k;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      if (std::abs(lu_(i, k)) > std::abs(lu_(p, k))) p = i;
-    }
-    if (p != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(lu_(p, j), lu_(k, j));
-      std::swap(perm_[p], perm_[k]);
-      pivot_sign_ = -pivot_sign_;
-    }
-    if (lu_(k, k) == 0.0) {
-      throw std::domain_error("LuDecomposition: singular matrix");
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      lu_(i, k) /= lu_(k, k);
-      const double f = lu_(i, k);
-      for (std::size_t j = k + 1; j < n; ++j) lu_(i, j) -= f * lu_(k, j);
-    }
-  }
-}
-
-Vector LuDecomposition::solve(const Vector& b) const {
-  const std::size_t n = lu_.rows();
-  if (b.size() != n) {
-    throw std::invalid_argument("LuDecomposition::solve: rhs mismatch");
-  }
-  Vector x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t k = 0; k < i; ++k) x[i] -= lu_(i, k) * x[k];
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    for (std::size_t k = ii + 1; k < n; ++k) x[ii] -= lu_(ii, k) * x[k];
-    x[ii] /= lu_(ii, ii);
-  }
-  return x;
-}
-
-Matrix LuDecomposition::solve(const Matrix& b) const {
-  if (b.rows() != lu_.rows()) {
-    throw std::invalid_argument("LuDecomposition::solve: rhs mismatch");
-  }
-  Matrix x(lu_.rows(), b.cols());
-  for (std::size_t j = 0; j < b.cols(); ++j) x.set_col(j, solve(b.col_vector(j)));
-  return x;
-}
-
-double LuDecomposition::determinant() const noexcept {
-  double d = pivot_sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) d *= lu_(i, i);
-  return d;
-}
-
 // ---------------------------------------------------------------------------
 // Symmetric eigensolvers
 // ---------------------------------------------------------------------------
@@ -495,11 +427,7 @@ void pin_column_signs(Matrix& vecs) {
 }
 
 double hash_unit(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
+  return static_cast<double>(core::splitmix64(x) >> 11) * 0x1.0p-53;
 }
 
 }  // namespace detail

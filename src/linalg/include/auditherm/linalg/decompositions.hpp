@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file decompositions.hpp
-/// Matrix factorizations: Householder QR, Cholesky, partial-pivot LU, and a
-/// Jacobi eigensolver for symmetric matrices.
+/// Matrix factorizations: Householder QR, Cholesky, and the symmetric
+/// eigensolvers (tridiagonal QL and partial, plus the Jacobi reference).
 ///
 /// These are the direct solvers behind the paper's convex least-squares
 /// identification problem (eq. 4) and the spectral-clustering Laplacian
@@ -179,33 +179,8 @@ class CholeskyDecomposition {
   /// Lower-triangular factor L.
   [[nodiscard]] const Matrix& l() const noexcept { return l_; }
 
-  /// log(det A) via 2 * sum(log L_ii); useful for GP marginal likelihoods.
-  [[nodiscard]] double log_determinant() const noexcept;
-
  private:
   Matrix l_;
-};
-
-/// Partial-pivoting LU factorization P A = L U for square systems.
-class LuDecomposition {
- public:
-  /// Factorize square `a`; throws std::invalid_argument when not square,
-  /// std::domain_error when singular to working precision.
-  explicit LuDecomposition(const Matrix& a);
-
-  /// Solve A x = b.
-  [[nodiscard]] Vector solve(const Vector& b) const;
-
-  /// Solve A X = B column-wise.
-  [[nodiscard]] Matrix solve(const Matrix& b) const;
-
-  /// Determinant of A (sign-corrected for row swaps).
-  [[nodiscard]] double determinant() const noexcept;
-
- private:
-  Matrix lu_;
-  std::vector<std::size_t> perm_;
-  int pivot_sign_ = 1;
 };
 
 /// Eigendecomposition of a symmetric matrix.
@@ -223,30 +198,20 @@ struct SymmetricEigen {
 
 /// Which symmetric eigensolver to run.
 ///
-/// kJacobi is the original cyclic-Jacobi solver: robust, simple, and the
-/// cross-check reference, but it always computes the full spectrum with
-/// O(n^3) work per sweep. kTridiagonal is the dense fast path (Householder
-/// tridiagonalization + implicit-shift QL, with a bisection +
-/// inverse-iteration partial mode). kLanczos is the sparse partial path
-/// (see sparse.hpp): the Laplacian is compressed to CSR and only the
-/// requested smallest pairs come out of a Lanczos iteration — the right
-/// tool once the similarity graph is k-NN sparse and dense O(n^3)
-/// tridiagonalization dominates. kAuto picks Jacobi below
-/// kEigenAutoThreshold rows — where Jacobi's constant wins and bitwise
-/// compatibility with historical results matters — the tridiagonal path
-/// up to kEigenSparseThreshold, and Lanczos at or above it.
+/// kTridiagonal is the dense path (Householder tridiagonalization +
+/// implicit-shift QL, with a bisection + inverse-iteration partial mode).
+/// kLanczos is the sparse partial path (see sparse.hpp): the Laplacian is
+/// compressed to CSR and only the requested smallest pairs come out of a
+/// Lanczos iteration — the right tool once the similarity graph is k-NN
+/// sparse and dense O(n^3) tridiagonalization dominates. kAuto picks the
+/// tridiagonal path below kEigenSparseThreshold rows and Lanczos at or
+/// above it. The cyclic-Jacobi eigen_symmetric() is not a method here: it
+/// is the reference the other solvers are tested against.
 enum class EigenMethod {
-  kJacobi,       ///< full-spectrum cyclic Jacobi (reference)
   kTridiagonal,  ///< Householder + QL, partial spectrum when asked
-  kAuto,         ///< Jacobi / tridiagonal / Lanczos by matrix size
+  kAuto,         ///< tridiagonal / Lanczos by matrix size
   kLanczos,      ///< sparse CSR Lanczos, partial spectrum only
 };
-
-/// Matrix size at which EigenMethod::kAuto switches from Jacobi to the
-/// tridiagonal path. The paper's 25-27 sensor Laplacians stay on Jacobi
-/// (bitwise-identical to historical results); simulated networks of 64+
-/// sensors take the asymptotically cheaper solver.
-inline constexpr std::size_t kEigenAutoThreshold = 64;
 
 /// Matrix size at which EigenMethod::kAuto switches from the dense
 /// tridiagonal path to sparse Lanczos. Below it the dense partial solver's
@@ -260,7 +225,6 @@ inline constexpr std::size_t kEigenSparseThreshold = 512;
 [[nodiscard]] constexpr EigenMethod resolve_eigen_method(
     EigenMethod method, std::size_t n) noexcept {
   if (method != EigenMethod::kAuto) return method;
-  if (n < kEigenAutoThreshold) return EigenMethod::kJacobi;
   return n < kEigenSparseThreshold ? EigenMethod::kTridiagonal
                                    : EigenMethod::kLanczos;
 }

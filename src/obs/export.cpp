@@ -10,25 +10,6 @@ namespace auditherm::obs {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_double(std::string& out, double v) {
   char buf[64];
   // Shortest representation that round-trips; JSON has no inf/nan.
@@ -48,6 +29,30 @@ void append_u64(std::string& out, std::uint64_t v) {
 
 }  // namespace
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
 std::string to_json(const Recorder& recorder) {
   const MetricsSnapshot snap = recorder.metrics().snapshot();
   const std::vector<SpanRecord> spans = recorder.spans();
@@ -62,7 +67,7 @@ std::string to_json(const Recorder& recorder) {
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     j += i == 0 ? "\n" : ",\n";
     j += "    \"";
-    append_escaped(j, snap.counters[i].first);
+    j += json_escape(snap.counters[i].first);
     j += "\": ";
     append_u64(j, snap.counters[i].second);
   }
@@ -72,7 +77,7 @@ std::string to_json(const Recorder& recorder) {
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     j += i == 0 ? "\n" : ",\n";
     j += "    \"";
-    append_escaped(j, snap.gauges[i].first);
+    j += json_escape(snap.gauges[i].first);
     j += "\": ";
     append_double(j, snap.gauges[i].second);
   }
@@ -83,7 +88,7 @@ std::string to_json(const Recorder& recorder) {
     const auto& h = snap.histograms[i];
     j += i == 0 ? "\n" : ",\n";
     j += "    \"";
-    append_escaped(j, h.name);
+    j += json_escape(h.name);
     j += "\": {\"count\": ";
     append_u64(j, h.count);
     j += ", \"sum\": ";
@@ -119,7 +124,7 @@ std::string to_json(const Recorder& recorder) {
     j += ", \"parent\": ";
     append_u64(j, s.parent);
     j += ", \"name\": \"";
-    append_escaped(j, s.name);
+    j += json_escape(s.name);
     j += "\", \"thread\": ";
     append_u64(j, s.thread);
     j += ", \"start_us\": ";

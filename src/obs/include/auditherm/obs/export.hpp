@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "auditherm/obs/trace_span.hpp"
 
@@ -28,6 +29,11 @@ namespace auditherm::obs {
 
 inline constexpr std::string_view kJsonSchema = "auditherm.metrics";
 inline constexpr int kJsonSchemaVersion = 1;
+
+/// Escape a string for embedding in a JSON document (no surrounding
+/// quotes): quote, backslash, \n, \r and \t by name, other control
+/// bytes as \u00XX. The library's one JSON string escaper.
+[[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Serialize the recorder's metrics and span log as JSON.
 [[nodiscard]] std::string to_json(const Recorder& recorder);

@@ -60,7 +60,7 @@ struct Value {
 [[nodiscard]] Value parse(std::string_view text);
 
 /// Escape a string for embedding in a JSON document (no surrounding
-/// quotes).
+/// quotes); obs::json_escape.
 [[nodiscard]] std::string escape(std::string_view s);
 
 }  // namespace auditherm::serve::json

@@ -11,7 +11,7 @@
 ///
 /// Request batching (DESIGN.md §"Serving"): concurrent requests that
 /// share a *stage-key prefix* — same trace bytes and same Step-1-relevant
-/// options (metric, graph, eigen, clusters, knn), regardless of order /
+/// options (metric, graph, clusters, knn, occupancy), regardless of order /
 /// per-cluster / sweep — coalesce onto one prepared Step-1 context the
 /// way run_strategy_sweep fans its cases out over one prepare() call. The
 /// first request in leads and prepares through the shared StageCache;
@@ -45,7 +45,6 @@ struct AnalyzeRequest {
   long order = 2;       ///< model order, 1 | 2
   long per_cluster = 1; ///< representatives per cluster
   long sweep = 0;       ///< seeds for the strategy sweep (0 = none)
-  std::string eigen;    ///< "" = auto | jacobi | tridiagonal | lanczos
   std::string graph;    ///< "" = epsilon | knn
   long knn = 0;         ///< neighbors for --graph knn (0 = default)
   /// Sliding-window length in rows for the streaming-identification
@@ -159,7 +158,7 @@ class AnalysisService {
   load_trace(const std::string& path);
 
   /// Translate request options into a pipeline configuration (validates
-  /// eigen/graph values; throws std::invalid_argument on unknown ones).
+  /// the graph value; throws core::cli::UsageError on an unknown one).
   [[nodiscard]] static core::PipelineConfig make_config(
       const AnalyzeRequest& request);
 

@@ -2,7 +2,8 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
+
+#include "auditherm/obs/export.hpp"
 
 namespace auditherm::serve::json {
 
@@ -258,28 +259,6 @@ const Value* Value::find(std::string_view key) const noexcept {
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
+std::string escape(std::string_view s) { return obs::json_escape(s); }
 
 }  // namespace auditherm::serve::json

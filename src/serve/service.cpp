@@ -125,8 +125,6 @@ AnalyzeRequest request_from_json(const json::Value& body) {
       request.per_cluster = integer_field(value, key);
     } else if (key == "sweep") {
       request.sweep = integer_field(value, key);
-    } else if (key == "eigen") {
-      request.eigen = string_field(value, key);
     } else if (key == "graph") {
       request.graph = string_field(value, key);
     } else if (key == "knn") {
@@ -240,7 +238,7 @@ AnalysisService::load_trace(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string bytes = buffer.str();
-  core::StageKeyHasher h;
+  core::Fnv1a64 h;
   h.add(std::string_view(bytes));
   const std::uint64_t raw_hash = h.value();
 
@@ -269,20 +267,6 @@ core::PipelineConfig AnalysisService::make_config(
                                    : clustering::SimilarityMetric::kCorrelation;
   }
   config.spectral.cluster_count = static_cast<std::size_t>(request.clusters);
-  if (!request.eigen.empty()) {
-    if (request.eigen == "jacobi") {
-      config.spectral.eigen_method = linalg::EigenMethod::kJacobi;
-    } else if (request.eigen == "tridiagonal") {
-      config.spectral.eigen_method = linalg::EigenMethod::kTridiagonal;
-    } else if (request.eigen == "lanczos") {
-      config.spectral.eigen_method = linalg::EigenMethod::kLanczos;
-    } else if (request.eigen == "auto") {
-      config.spectral.eigen_method = linalg::EigenMethod::kAuto;
-    } else {
-      throw cli::UsageError("analyze: unknown --eigen value '" +
-                            request.eigen + "'");
-    }
-  }
   if (!request.graph.empty()) {
     if (request.graph == "epsilon") {
       config.similarity.sparsification =
@@ -309,13 +293,12 @@ std::uint64_t AnalysisService::prefix_key_for(std::uint64_t raw_hash,
   // the Step-1 options. Order, per_cluster, and sweep select/fit only —
   // requests differing in them still share one prepared context.
   const core::PipelineConfig config = make_config(request);
-  core::StageKeyHasher h;
+  core::Fnv1a64 h;
   h.add(raw_hash);
   h.add(static_cast<std::uint64_t>(config.similarity.metric));
   h.add(static_cast<std::uint64_t>(config.similarity.sparsification));
   h.add(static_cast<std::uint64_t>(config.similarity.knn_k));
   h.add(static_cast<std::uint64_t>(config.spectral.cluster_count));
-  h.add(static_cast<std::uint64_t>(config.spectral.eigen_method));
   // Input plan: "" and "truth" hash identically (both the ground-truth
   // path); estimated/schedule split off their own prepared contexts so a
   // truth joiner can never receive plan-derived artifacts.
@@ -385,16 +368,10 @@ AnalysisService::prepare_context(
     ctx->split = core::split_dataset(*ctx->trace, required, schedule,
                                      hvac::Mode::kOccupied);
     const core::ThermalModelingPipeline pipeline(make_config(request));
-    // A non-truth occupancy source rides in as an input plan; the
-    // ground-truth default passes none, keeping that path bit for bit.
-    const bool planned =
-        request.occupancy == "estimated" || request.occupancy == "schedule";
-    sysid::InputPlan plan;
-    if (planned) plan = input_plan_for(request, ctx->sets);
+    const sysid::InputPlan plan = input_plan_for(request, ctx->sets);
     ctx->artifacts = pipeline.prepare(
         *ctx->trace, schedule, ctx->split, ctx->sets.sensors,
-        ctx->sets.inputs, config_.cache_enabled ? &cache_ : nullptr,
-        planned ? &plan : nullptr);
+        ctx->sets.inputs, config_.cache_enabled ? &cache_ : nullptr, &plan);
   } catch (...) {
     {
       const std::lock_guard<std::mutex> lock(batch_mutex_);
@@ -484,16 +461,12 @@ std::string AnalysisService::analyze(const AnalyzeRequest& request) {
     stream_config.streaming.estimation = config.estimation;
     stream_config.streaming.window_rows =
         request.stream > 0 ? static_cast<std::size_t>(request.stream) : 0;
-    // Stream the reduced model's own channels over the full trace (the
-    // plan-augmented view when an input plan is in play — estimated
-    // inputs are pushed row-at-a-time like any other column): the online
-    // counterpart of the batch Step-3 fit above.
-    const timeseries::TraceView stream_view =
-        ctx->artifacts.inputs != nullptr
-            ? ctx->artifacts.inputs->augment(*ctx->trace)
-            : timeseries::TraceView(*ctx->trace);
+    // Stream the reduced model's own channels over the plan-augmented
+    // full trace (estimated inputs are pushed row-at-a-time like any other
+    // column): the online counterpart of the batch Step-3 fit above.
     const auto streamed = core::run_streaming_identification(
-        stream_view, result.reduced_model.state_channels(),
+        ctx->artifacts.inputs->augment(*ctx->trace),
+        result.reduced_model.state_channels(),
         result.reduced_model.input_channels(), stream_config);
     if (request.stream > 0) {
       report.append("\nstreaming identification (window %ld rows):\n",

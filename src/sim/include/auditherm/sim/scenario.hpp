@@ -34,18 +34,10 @@
 #include <string>
 #include <vector>
 
+#include "auditherm/core/hash.hpp"
 #include "auditherm/sim/dataset.hpp"
 
 namespace auditherm::sim {
-
-/// splitmix64 finalizer: a bijective 64-bit mix with full avalanche; the
-/// same hash family the deterministic eigensolver start vectors use.
-[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 /// Per-entity seed for logical process `index` of a fleet seeded with
 /// `base`: position `index + 1` of the splitmix64 stream starting at
@@ -53,7 +45,7 @@ namespace auditherm::sim {
 /// disjoint corpora.
 [[nodiscard]] constexpr std::uint64_t derive_entity_seed(
     std::uint64_t base, std::uint64_t index) noexcept {
-  return splitmix64(base + 0x9E3779B97F4A7C15ull * index);
+  return core::splitmix64(base + 0x9E3779B97F4A7C15ull * index);
 }
 
 /// Which floor plan the scenario simulates.
@@ -144,8 +136,9 @@ struct ScenarioOutcome {
   std::size_t channels = 0;
   std::size_t control_steps = 0;  ///< recorded main-loop plant steps
   double coverage = 0.0;          ///< trace.coverage()
-  /// FNV-1a over the exact CSV bytes of the trace / the ground truth —
-  /// the unit of every bitwise-determinism claim and manifest entry.
+  /// FNV-1a-64 (core::fnv1a64) over the exact CSV bytes of the trace /
+  /// the ground truth — the unit of every bitwise-determinism claim and
+  /// manifest entry.
   std::uint64_t trace_fingerprint = 0;
   std::uint64_t truth_fingerprint = 0;
   std::string trace_file;  ///< file name under out_dir ("" when unwritten)

@@ -26,15 +26,6 @@ constexpr std::size_t kMaxSyntheticSensors = 288;
 /// are doubles, so bigger seeds are encoded as decimal strings.
 constexpr std::uint64_t kMaxExactJsonInteger = 1ull << 53;
 
-std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Shortest round-trip decimal form (std::to_chars), so "0.04" stays
 /// "0.04" in specs and manifests yet reparses to the identical double.
 std::string json_double(double v) {
@@ -141,8 +132,8 @@ ScenarioOutcome run_one(const ScenarioSpec& spec, const FleetOptions& options,
 
   const std::string trace_csv = csv_bytes(dataset.trace);
   const std::string truth_csv = csv_bytes(dataset.truth);
-  out.trace_fingerprint = fnv1a(trace_csv);
-  out.truth_fingerprint = fnv1a(truth_csv);
+  out.trace_fingerprint = core::fnv1a64(trace_csv);
+  out.truth_fingerprint = core::fnv1a64(truth_csv);
 
   const bool writing = !options.out_dir.empty();
   if (writing) {
@@ -379,12 +370,9 @@ std::string fleet_manifest_json(const std::vector<ScenarioOutcome>& outcomes) {
   json += outcomes.empty() ? "],\n" : "\n  ],\n";
   json += "  \"fingerprint\": \"" +
           hex_fingerprint([&] {
-            std::uint64_t h = 1469598103934665603ull;
-            for (const auto& out : outcomes) {
-              h ^= out.trace_fingerprint;
-              h *= 1099511628211ull;
-            }
-            return h;
+            core::Fnv1a64 h;
+            for (const auto& out : outcomes) h.add_word(out.trace_fingerprint);
+            return h.value();
           }()) +
           "\"\n";
   json += "}\n";

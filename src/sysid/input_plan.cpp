@@ -1,48 +1,26 @@
 #include "auditherm/sysid/input_plan.hpp"
 
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 
+#include "auditherm/core/hash.hpp"
 #include "auditherm/obs/trace_span.hpp"
 
 namespace auditherm::sysid {
 
 namespace {
 
-/// Local FNV-1a so the fingerprint needs no dependency on core's
-/// StageKeyHasher (sysid sits below core). Same bit-pattern conventions:
-/// doubles hash by bits with every NaN collapsed to one sentinel.
-class PlanHasher {
- public:
-  void add(std::uint64_t v) noexcept {
-    unsigned char bytes[sizeof(v)];
-    std::memcpy(bytes, &v, sizeof(v));
-    for (unsigned char b : bytes) {
-      state_ ^= b;
-      state_ *= 0x100000001b3ull;  // FNV prime
-    }
-  }
-  void add(double v) noexcept {
-    std::uint64_t bits;
-    if (std::isnan(v)) {
-      bits = 0x7ff8000000000000ull;
-    } else {
-      std::memcpy(&bits, &v, sizeof(bits));
-    }
-    add(bits);
-  }
-  void add(std::int64_t v) noexcept { add(static_cast<std::uint64_t>(v)); }
-  void add(int v) noexcept { add(static_cast<std::uint64_t>(v)); }
-  void add(bool v) noexcept { add(static_cast<std::uint64_t>(v ? 1 : 2)); }
-
-  [[nodiscard]] std::uint64_t value() const noexcept { return state_; }
-
- private:
-  std::uint64_t state_ = 0xcbf29ce484222325ull;  // FNV offset basis
-};
+/// Plan doubles hash by bit pattern with every NaN as the canonical quiet
+/// NaN, not the stage-key gap sentinel of Fnv1a64::add(double):
+/// `clamp_max` is NaN by default ("no clamp"), and this encoding keeps the
+/// fingerprints of such plans what they have always been.
+void add_plan_double(core::Fnv1a64& hasher, double v) noexcept {
+  hasher.add(std::isnan(v) ? std::uint64_t{0x7ff8000000000000}
+                           : std::bit_cast<std::uint64_t>(v));
+}
 
 void count_source(InputSource source) {
   static const obs::MetricId kGroundTruth =
@@ -60,7 +38,7 @@ void count_source(InputSource source) {
 
 std::shared_ptr<const linalg::Vector> materialize_co2(
     const InputSlot& slot, const timeseries::TraceView& trace,
-    const std::vector<bool>& train_mask, PlanHasher& hasher) {
+    const std::vector<bool>& train_mask, core::Fnv1a64& hasher) {
   Co2OccupancyEstimator estimator(slot.co2);
   estimator.calibrate(trace.filter_rows(train_mask));
   linalg::Vector column = estimator.estimate(trace);
@@ -71,9 +49,9 @@ std::shared_ptr<const linalg::Vector> materialize_co2(
   }
   // The calibration fingerprint: re-calibrating (different training rows,
   // different sensor noise) re-keys every downstream stage.
-  hasher.add(estimator.volume_over_generation());
-  hasher.add(estimator.flow_gain());
-  hasher.add(estimator.outdoor_ppm());
+  add_plan_double(hasher, estimator.volume_over_generation());
+  add_plan_double(hasher, estimator.flow_gain());
+  add_plan_double(hasher, estimator.outdoor_ppm());
   return std::make_shared<const linalg::Vector>(std::move(column));
 }
 
@@ -175,7 +153,7 @@ ResolvedInputPlan resolve_input_plan(const InputPlan& plan,
   // Fingerprint: stays 0 for pure ground-truth plans (the bitwise no-op
   // contract); otherwise folds the whole plan structure plus — inside the
   // materializers — the calibrated parameters.
-  PlanHasher hasher;
+  core::Fnv1a64 hasher;
   const bool pure = plan.pure_ground_truth();
   if (!pure) hasher.add(std::uint64_t{plan.slots.size()});
 
@@ -183,7 +161,7 @@ ResolvedInputPlan resolve_input_plan(const InputPlan& plan,
     count_source(slot.source);
     if (!pure) {
       hasher.add(static_cast<std::uint64_t>(slot.source));
-      hasher.add(slot.channel);
+      hasher.add(std::int64_t{slot.channel});
     }
     switch (slot.source) {
       case InputSource::kGroundTruth:
@@ -195,11 +173,11 @@ ResolvedInputPlan resolve_input_plan(const InputPlan& plan,
               "resolve_input_plan: derived channel id " +
               std::to_string(slot.channel) + " collides with a trace channel");
         }
-        hasher.add(slot.co2.co2);
-        for (auto id : slot.co2.vav_flows) hasher.add(id);
-        hasher.add(slot.co2.occupancy);
+        hasher.add(std::int64_t{slot.co2.co2});
+        for (auto id : slot.co2.vav_flows) hasher.add(std::int64_t{id});
+        hasher.add(std::int64_t{slot.co2.occupancy});
         hasher.add(slot.round_to_integer);
-        hasher.add(slot.clamp_max);
+        add_plan_double(hasher, slot.clamp_max);
         resolved.derived.push_back(
             {slot.channel, materialize_co2(slot, trace, train_mask, hasher)});
         break;
@@ -212,8 +190,8 @@ ResolvedInputPlan resolve_input_plan(const InputPlan& plan,
         }
         hasher.add(slot.schedule.on_minute());
         hasher.add(slot.schedule.off_minute());
-        hasher.add(slot.occupied_level);
-        hasher.add(slot.unoccupied_level);
+        add_plan_double(hasher, slot.occupied_level);
+        add_plan_double(hasher, slot.unoccupied_level);
         resolved.derived.push_back(
             {slot.channel, materialize_schedule(slot, trace)});
         break;

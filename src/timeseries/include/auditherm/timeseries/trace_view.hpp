@@ -32,7 +32,7 @@
 #include <optional>
 #include <vector>
 
-#include "auditherm/linalg/matrix_view.hpp"
+#include "auditherm/linalg/matrix.hpp"
 #include "auditherm/timeseries/time_grid.hpp"
 
 namespace auditherm::timeseries {
@@ -81,7 +81,7 @@ class TraceView {
     if (col & kDerivedColumn) {
       return (*derived_[col & ~kDerivedColumn])[source_row(k)];
     }
-    return base_(source_row(k), col);
+    return data_[source_row(k) * source_cols_ + col];
   }
 
   /// True when the sample is present (not NaN).
@@ -140,7 +140,9 @@ class TraceView {
   static constexpr std::size_t kDerivedColumn =
       std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
 
-  linalg::MatrixView base_;          ///< the source trace's value matrix
+  const double* data_ = nullptr;     ///< the source trace's row-major values
+  std::size_t source_rows_ = 0;      ///< ... and their shape
+  std::size_t source_cols_ = 0;
   TimeGrid grid_;                    ///< the view's (reindexed) grid
   std::vector<ChannelId> channels_;  ///< view channel ids, in view order
   std::vector<std::size_t> cols_;    ///< view column -> source column, or

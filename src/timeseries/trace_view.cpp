@@ -21,7 +21,9 @@ void note_bytes_copied(std::size_t samples) {
 }  // namespace
 
 TraceView::TraceView(const MultiTrace& trace)
-    : base_(trace.values()),
+    : data_(trace.values().data().data()),
+      source_rows_(trace.values().rows()),
+      source_cols_(trace.values().cols()),
       grid_(trace.grid()),
       channels_(trace.channels()),
       cols_(trace.channel_count()) {
@@ -104,11 +106,11 @@ TraceView TraceView::with_channel(
   if (!column) {
     throw std::invalid_argument("TraceView::with_channel: null column");
   }
-  if (column->size() != base_.rows()) {
+  if (column->size() != source_rows_) {
     throw std::invalid_argument(
         "TraceView::with_channel: column has " +
         std::to_string(column->size()) + " rows, source trace has " +
-        std::to_string(base_.rows()));
+        std::to_string(source_rows_));
   }
   TraceView out = *this;
   out.channels_.push_back(id);

@@ -264,20 +264,19 @@ TEST(EigenSolvers, TrivialSizes) {
 }
 
 TEST(EigenSolvers, ResolveEigenMethod) {
+  // kAuto is matrix size alone: tridiagonal below the sparse threshold
+  // (paper-scale Laplacians included), Lanczos at and above it. Explicit
+  // methods pass through; Jacobi is not among them.
   using linalg::EigenMethod;
-  EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kJacobi, 1000),
-            EigenMethod::kJacobi);
   EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kTridiagonal, 4),
             EigenMethod::kTridiagonal);
-  EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kAuto,
-                                         linalg::kEigenAutoThreshold - 1),
-            EigenMethod::kJacobi);
-  EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kAuto,
-                                         linalg::kEigenAutoThreshold),
-            EigenMethod::kTridiagonal);
-  EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kAuto,
-                                         linalg::kEigenSparseThreshold - 1),
-            EigenMethod::kTridiagonal);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{25},
+                              std::size_t{64},
+                              linalg::kEigenSparseThreshold - 1}) {
+    EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kAuto, n),
+              EigenMethod::kTridiagonal)
+        << "n=" << n;
+  }
   EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kAuto,
                                          linalg::kEigenSparseThreshold),
             EigenMethod::kLanczos);

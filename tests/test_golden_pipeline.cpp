@@ -17,11 +17,16 @@
 #include <vector>
 
 #include "auditherm/core/pipeline.hpp"
+#include "auditherm/linalg/decompositions.hpp"
+#include "auditherm/obs/trace_span.hpp"
 #include "auditherm/sim/dataset.hpp"
 #include "auditherm/sysid/estimator.hpp"
 #include "auditherm/sysid/evaluation.hpp"
 
+namespace clustering = auditherm::clustering;
 namespace core = auditherm::core;
+namespace linalg = auditherm::linalg;
+namespace obs = auditherm::obs;
 namespace sim = auditherm::sim;
 namespace hvac = auditherm::hvac;
 namespace sysid = auditherm::sysid;
@@ -138,4 +143,49 @@ TEST(GoldenPipeline, TableOneFitResidualsStayPinned) {
   EXPECT_NEAR(unocc2, 0.181, 0.05);
   // Paper shape: the unoccupied night is easier to predict.
   EXPECT_LT(unocc2, occ2);
+}
+
+TEST(GoldenPipeline, PaperScaleRunNeverCallsJacobi) {
+  // Jacobi is a test oracle only: the 25-sensor paper hall takes the
+  // tridiagonal partial path under kAuto, and still clusters like Jacobi.
+  const core::PipelineConfig config;
+  const core::ThermalModelingPipeline pipeline(config);
+  obs::Recorder recorder;
+  core::RunOptions options;
+  options.metrics = &recorder;
+  const auto result =
+      pipeline.run(dataset().trace, dataset().schedule, standard_split(),
+                   dataset().wireless_ids(), dataset().input_ids(), options);
+
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(recorder.metrics().counter("linalg.jacobi_sweeps"), 0u);
+    EXPECT_EQ(recorder.metrics().counter("linalg.eigen_partial_calls"), 1u);
+    for (const auto& span : recorder.spans()) {
+      EXPECT_NE(span.name, "linalg.eigen_symmetric");
+    }
+  }
+
+  const auto art =
+      pipeline.prepare(dataset().trace, dataset().schedule, standard_split(),
+                       dataset().wireless_ids(), dataset().input_ids());
+  auto eig = linalg::eigen_symmetric(
+      clustering::normalized_laplacian(art.graph->weights));
+  const auto oracle = clustering::spectral_cluster(
+      *art.graph,
+      clustering::SpectralAnalysis{std::move(eig.eigenvalues),
+                                   std::move(eig.eigenvectors)},
+      config.spectral);
+  ASSERT_EQ(result.clustering.cluster_count, oracle.cluster_count);
+  for (int id : dataset().wireless_ids()) {
+    for (int other : dataset().wireless_ids()) {
+      EXPECT_EQ(result.clustering.cluster_of(id) ==
+                    result.clustering.cluster_of(other),
+                oracle.cluster_of(id) == oracle.cluster_of(other))
+          << id << " vs " << other;
+    }
+  }
+  for (std::size_t i = 0; i < result.clustering.eigenvalues.size(); ++i) {
+    EXPECT_NEAR(result.clustering.eigenvalues[i], oracle.eigenvalues[i], 1e-10)
+        << "i=" << i;
+  }
 }

@@ -34,6 +34,30 @@ using linalg::Vector;
 
 namespace {
 
+/// Full-spectrum analysis of the graph's Laplacian by the Jacobi
+/// reference solver.
+clustering::SpectralAnalysis jacobi_analysis(
+    const clustering::SimilarityGraph& graph,
+    const clustering::SpectralOptions& options) {
+  auto eig = linalg::eigen_symmetric(
+      options.laplacian == clustering::LaplacianKind::kUnnormalized
+          ? clustering::laplacian(graph.weights)
+          : clustering::normalized_laplacian(graph.weights));
+  return {std::move(eig.eigenvalues), std::move(eig.eigenvectors)};
+}
+
+/// Spectral clustering on the `method` spectrum of `options` width.
+clustering::ClusteringResult cluster_with(
+    const clustering::SimilarityGraph& graph,
+    const clustering::SpectralOptions& options, linalg::EigenMethod method) {
+  return clustering::spectral_cluster(
+      graph,
+      clustering::analyze_spectrum(
+          graph.weights, options.laplacian, method,
+          clustering::needed_eigenpairs(options, graph.channels.size())),
+      options);
+}
+
 Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::normal_distribution<double> dist(0.0, 1.0);
@@ -375,20 +399,17 @@ TEST(Lanczos, KnnSparsifiedLabelsMatchDensePath) {
 
   // Dense path: the paper's epsilon/quantile graph + Jacobi reference.
   const auto dense_graph = clustering::build_similarity_graph(trace, ids);
-  clustering::SpectralOptions dense_options;
-  dense_options.eigen_method = linalg::EigenMethod::kJacobi;
-  const auto dense_result =
-      clustering::spectral_cluster(dense_graph, dense_options);
+  const clustering::SpectralOptions options;
+  const auto dense_result = clustering::spectral_cluster(
+      dense_graph, jacobi_analysis(dense_graph, options), options);
 
   // Sparse path: k-NN graph + forced Lanczos partial spectrum.
   clustering::SimilarityOptions knn;
   knn.sparsification = clustering::GraphSparsification::kKnn;
   knn.knn_k = 4;
   const auto knn_graph = clustering::build_similarity_graph(trace, ids, knn);
-  clustering::SpectralOptions sparse_options;
-  sparse_options.eigen_method = linalg::EigenMethod::kLanczos;
   const auto sparse_result =
-      clustering::spectral_cluster(knn_graph, sparse_options);
+      cluster_with(knn_graph, options, linalg::EigenMethod::kLanczos);
 
   // Both discover the three halls and agree label-for-label (as
   // partitions; cluster numbering is canonicalized).
@@ -409,13 +430,11 @@ TEST(Lanczos, SparseSolverMatchesDenseOnSameKnnGraph) {
   knn.knn_k = 3;
   const auto graph = clustering::build_similarity_graph(trace, ids, knn);
 
-  clustering::SpectralOptions jacobi_options;
-  jacobi_options.eigen_method = linalg::EigenMethod::kJacobi;
-  const auto jacobi = clustering::spectral_cluster(graph, jacobi_options);
-
-  clustering::SpectralOptions lanczos_options;
-  lanczos_options.eigen_method = linalg::EigenMethod::kLanczos;
-  const auto lanczos = clustering::spectral_cluster(graph, lanczos_options);
+  const clustering::SpectralOptions options;
+  const auto jacobi = clustering::spectral_cluster(
+      graph, jacobi_analysis(graph, options), options);
+  const auto lanczos =
+      cluster_with(graph, options, linalg::EigenMethod::kLanczos);
 
   EXPECT_EQ(jacobi.cluster_count, 4u);
   EXPECT_EQ(lanczos.cluster_count, jacobi.cluster_count);

@@ -203,7 +203,7 @@ TEST(ObsPipeline, SingleThreadSpanTreeIsExact) {
   obs::Recorder recorder;
   core::RunOptions options;
   options.metrics = &recorder;
-  (void)run_with_options(/*threads=*/1, options);
+  const auto result = run_with_options(/*threads=*/1, options);
 
   const auto spans = recorder.spans();
   std::vector<std::string> names;
@@ -218,7 +218,7 @@ TEST(ObsPipeline, SingleThreadSpanTreeIsExact) {
       "stage.training_view",
       "stage.similarity_graph",
       "stage.spectrum",
-      "linalg.eigen_symmetric",
+      "linalg.eigen_symmetric_smallest",
       "stage.clustering",
       "stage.cluster_sets",
       "stage.cluster_means",
@@ -239,7 +239,8 @@ TEST(ObsPipeline, SingleThreadSpanTreeIsExact) {
   EXPECT_EQ(parent_of["pipeline.run"], 0u);
   EXPECT_EQ(parent_of["pipeline.prepare"], id_of["pipeline.run"]);
   EXPECT_EQ(parent_of["stage.spectrum"], id_of["pipeline.prepare"]);
-  EXPECT_EQ(parent_of["linalg.eigen_symmetric"], id_of["stage.spectrum"]);
+  EXPECT_EQ(parent_of["linalg.eigen_symmetric_smallest"],
+            id_of["stage.spectrum"]);
   EXPECT_EQ(parent_of["pipeline.select"], id_of["pipeline.run"]);
   EXPECT_EQ(parent_of["sysid.fit"], id_of["pipeline.identify"]);
   EXPECT_EQ(parent_of["pipeline.evaluate"], id_of["pipeline.run"]);
@@ -249,13 +250,39 @@ TEST(ObsPipeline, SingleThreadSpanTreeIsExact) {
   EXPECT_EQ(metrics.counter("pipeline.runs"), 1u);
   EXPECT_EQ(metrics.counter("pipeline.prepares"), 1u);
   EXPECT_EQ(metrics.counter("linalg.eigen_calls"), 1u);
-  EXPECT_GT(metrics.counter("linalg.jacobi_sweeps"), 0u);
+  EXPECT_EQ(metrics.counter("linalg.eigen_partial_calls"), 1u);
+  EXPECT_EQ(metrics.counter("linalg.jacobi_sweeps"), 0u);
   EXPECT_GT(metrics.counter("sysid.fit_transitions"), 0u);
   EXPECT_GT(metrics.counter("parallel.tasks"), 0u);
   // Serial run: no pooled batches, every task on the caller... and the
   // caller-side task counters only tick on the pooled path.
   EXPECT_EQ(metrics.counter("parallel.pooled_batches"), 0u);
   EXPECT_EQ(metrics.counter("parallel.helper_joins"), 0u);
+
+  // The partial spectrum behind that span clusters like the Jacobi
+  // reference on the same graph.
+  const core::PipelineConfig config;
+  const auto art = core::ThermalModelingPipeline(config).prepare(
+      dataset().trace, dataset().schedule, split(), dataset().wireless_ids(),
+      dataset().input_ids());
+  auto eig = linalg::eigen_symmetric(
+      clustering::normalized_laplacian(art.graph->weights));
+  const auto oracle = clustering::spectral_cluster(
+      *art.graph,
+      clustering::SpectralAnalysis{std::move(eig.eigenvalues),
+                                   std::move(eig.eigenvectors)},
+      config.spectral);
+  EXPECT_EQ(result.clustering.cluster_count, oracle.cluster_count);
+  const auto& labels = result.clustering.labels;
+  ASSERT_EQ(labels.size(), oracle.labels.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    for (std::size_t j = 0; j < labels.size(); ++j) {
+      EXPECT_EQ(labels[i] == labels[j], oracle.labels[i] == oracle.labels[j]);
+    }
+  }
+  for (std::size_t i = 0; i < result.clustering.eigenvalues.size(); ++i) {
+    EXPECT_NEAR(result.clustering.eigenvalues[i], oracle.eigenvalues[i], 1e-10);
+  }
 }
 
 TEST(ObsPipeline, CacheCountersMirrorIntoRunRecorder) {

@@ -291,6 +291,53 @@ TEST(RunFleet, WritesTracesAndManifestToOutDir) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(RunFleet, ManifestFingerprintsAreStandardFnv1a64OfTheFiles) {
+  // Written out here, independent of the library's hash: FNV-1a-64 from
+  // the standard offset basis 14695981039346656037.
+  const auto fnv1a64 = [](const std::string& bytes) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (const unsigned char c : bytes) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  const auto hex = [](std::uint64_t v) {
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    return std::string(buf);
+  };
+  const auto read = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return std::move(os).str();
+  };
+
+  const auto dir = scratch_dir("fnv");
+  sim::FleetOptions options;
+  options.out_dir = dir.string();
+  (void)sim::run_fleet(mixed_fleet(), options);
+  const auto manifest = json::parse(read(dir / "manifest.json"));
+  const auto& scenarios = manifest.find("scenarios")->array;
+  ASSERT_EQ(scenarios.size(), 3u);
+  // The combined fingerprint folds each trace fingerprint in as one
+  // 64-bit word.
+  std::uint64_t combined = 14695981039346656037ull;
+  for (const auto& s : scenarios) {
+    const auto trace_fp =
+        fnv1a64(read(dir / s.find("trace_file")->string));
+    const auto truth_fp =
+        fnv1a64(read(dir / s.find("truth_file")->string));
+    EXPECT_EQ(s.find("trace_fingerprint")->string, hex(trace_fp));
+    EXPECT_EQ(s.find("truth_fingerprint")->string, hex(truth_fp));
+    combined = (combined ^ trace_fp) * 1099511628211ull;
+  }
+  EXPECT_EQ(manifest.find("fingerprint")->string, hex(combined));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(RunFleet, KeepDatasetsRetainsDataAlongsideFiles) {
   const auto dir = scratch_dir("keep");
   sim::FleetOptions options;
@@ -488,7 +535,7 @@ TEST(SeedDerivation, SplitmixStreamsAreDistinctAndStable) {
   // Pinned values: the derivation contract is part of the file format —
   // a fleet file without explicit seeds must reproduce the same corpus
   // forever.
-  EXPECT_EQ(sim::derive_entity_seed(0, 0), sim::splitmix64(0));
+  EXPECT_EQ(sim::derive_entity_seed(0, 0), core::splitmix64(0));
   EXPECT_NE(sim::derive_entity_seed(1, 0), sim::derive_entity_seed(0, 0));
   EXPECT_NE(sim::derive_entity_seed(0, 1), sim::derive_entity_seed(0, 0));
   std::vector<std::uint64_t> seeds;

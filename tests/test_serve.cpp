@@ -108,15 +108,14 @@ TEST(ServeHttp, RejectsMalformedRequests) {
 TEST(ServeRequest, DecodesFullBodyAndDefaults) {
   const auto full = serve::request_from_json(json::parse(
       R"({"data": "t.csv", "metric": "euclidean", "clusters": 3,)"
-      R"( "order": 1, "per_cluster": 2, "sweep": 4, "eigen": "jacobi",)"
-      R"( "graph": "knn", "knn": 6})"));
+      R"( "order": 1, "per_cluster": 2, "sweep": 4, "graph": "knn",)"
+      R"( "knn": 6})"));
   EXPECT_EQ(full.data, "t.csv");
   EXPECT_EQ(full.metric, "euclidean");
   EXPECT_EQ(full.clusters, 3);
   EXPECT_EQ(full.order, 1);
   EXPECT_EQ(full.per_cluster, 2);
   EXPECT_EQ(full.sweep, 4);
-  EXPECT_EQ(full.eigen, "jacobi");
   EXPECT_EQ(full.graph, "knn");
   EXPECT_EQ(full.knn, 6);
 
@@ -138,6 +137,9 @@ TEST(ServeRequest, RejectsUnknownKeysAndWrongTypes) {
   EXPECT_THROW((void)serve::request_from_json(
                    json::parse(R"({"data": "t.csv", "clsuters": 3})")),
                std::invalid_argument);  // typo'd key must not be ignored
+  EXPECT_THROW((void)serve::request_from_json(
+                   json::parse(R"({"data": "t.csv", "eigen": "jacobi"})")),
+               std::invalid_argument);  // the solver is not a request option
   EXPECT_THROW((void)serve::request_from_json(
                    json::parse(R"({"data": "t.csv", "clusters": "3"})")),
                std::invalid_argument);  // wrong type
@@ -179,18 +181,26 @@ TEST(ServeChannels, ThrowsWithoutEnoughSensorsOrInputs) {
 
 // --- AnalysisService ------------------------------------------------------
 
-/// Shared small trace CSV on disk (simulation costs a few hundred ms).
+/// Small trace CSV on disk (simulation costs a few hundred ms), shared by
+/// the tests of one process. The name carries the pid: ctest runs every
+/// test in its own process, and a shared name lets one process rewrite
+/// the file while another reads it. Removed when the process exits.
 const std::string& trace_csv_path() {
-  static const std::string path = [] {
+  struct TempCsv {
+    std::string path;
+    ~TempCsv() { std::remove(path.c_str()); }
+  };
+  static const TempCsv file{[] {
     sim::DatasetConfig config;
     config.days = 14;
     config.failure_days = 2;
     const auto dataset = sim::generate_dataset(config);
-    const std::string p = testing::TempDir() + "test_serve_trace.csv";
+    const std::string p = testing::TempDir() + "test_serve_trace_" +
+                          std::to_string(::getpid()) + ".csv";
     timeseries::write_csv_file(p, dataset.trace);
     return p;
-  }();
-  return path;
+  }()};
+  return file.path;
 }
 
 serve::AnalyzeRequest small_request() {
@@ -257,9 +267,9 @@ TEST(ServeService, SweepRequestSharesThePreparedStages) {
 
 TEST(ServeService, InvalidOptionValuesThrow) {
   serve::AnalysisService service;
-  auto bad_eigen = small_request();
-  bad_eigen.eigen = "cholesky";
-  EXPECT_THROW((void)service.analyze(bad_eigen), std::exception);
+  auto bad_graph = small_request();
+  bad_graph.graph = "cholesky";
+  EXPECT_THROW((void)service.analyze(bad_graph), std::exception);
   auto bad_path = small_request();
   bad_path.data = "/nonexistent/nope.csv";
   EXPECT_THROW((void)service.analyze(bad_path), std::runtime_error);

@@ -51,6 +51,34 @@ bool same_partition(const std::vector<std::size_t>& a,
   return true;
 }
 
+/// Full-spectrum analysis of the graph's Laplacian by the Jacobi
+/// reference solver — the oracle the production (auto) path is held to.
+clustering::SpectralAnalysis jacobi_analysis(
+    const clustering::SimilarityGraph& graph,
+    const clustering::SpectralOptions& options = {}) {
+  auto eig = linalg::eigen_symmetric(
+      options.laplacian == clustering::LaplacianKind::kUnnormalized
+          ? clustering::laplacian(graph.weights)
+          : clustering::normalized_laplacian(graph.weights));
+  return {std::move(eig.eigenvalues), std::move(eig.eigenvectors)};
+}
+
+/// `result` clusters like the Jacobi oracle: same cluster count and
+/// partition, and its (leading) eigenvalues within 1e-10 of the oracle's.
+void expect_matches_jacobi(const clustering::SimilarityGraph& graph,
+                           const clustering::SpectralOptions& options,
+                           const clustering::ClusteringResult& result) {
+  const auto oracle = clustering::spectral_cluster(
+      graph, jacobi_analysis(graph, options), options);
+  EXPECT_EQ(result.cluster_count, oracle.cluster_count);
+  EXPECT_TRUE(same_partition(result.labels, oracle.labels));
+  ASSERT_LE(result.eigenvalues.size(), oracle.eigenvalues.size());
+  for (std::size_t i = 0; i < result.eigenvalues.size(); ++i) {
+    EXPECT_NEAR(result.eigenvalues[i], oracle.eigenvalues[i], 1e-10)
+        << "i=" << i;
+  }
+}
+
 }  // namespace
 
 TEST(Laplacian, RowSumsZeroAndPsd) {
@@ -123,9 +151,13 @@ TEST(Spectral, ClusterRecoveryWithFixedK) {
 
 TEST(Spectral, AutoKMatchesEigengap) {
   const auto graph = block_graph(2, 8);
-  const auto result = clustering::spectral_cluster(graph);
+  const clustering::SpectralOptions options;
+  const auto result = clustering::spectral_cluster(graph, options);
   EXPECT_EQ(result.cluster_count, 2u);
-  EXPECT_EQ(result.eigenvalues.size(), 16u);
+  // The auto path computes only the pairs the eigengap scan reads.
+  EXPECT_EQ(result.eigenvalues.size(),
+            clustering::needed_eigenpairs(options, 16));
+  expect_matches_jacobi(graph, options, result);
 }
 
 TEST(Spectral, ClustersAccessor) {
@@ -175,12 +207,14 @@ TEST(Spectral, PrecomputedAnalysisOverloadMatchesOneShot) {
   clustering::SpectralOptions options;
   options.cluster_count = 3;
   const auto one_shot = clustering::spectral_cluster(graph, options);
-  const auto analysis =
-      clustering::analyze_spectrum(graph.weights, options.laplacian);
+  const auto analysis = clustering::analyze_spectrum(
+      graph.weights, options.laplacian, linalg::EigenMethod::kAuto,
+      clustering::needed_eigenpairs(options, graph.channels.size()));
   const auto staged = clustering::spectral_cluster(graph, analysis, options);
   EXPECT_EQ(one_shot.labels, staged.labels);
   EXPECT_EQ(one_shot.cluster_count, staged.cluster_count);
   EXPECT_EQ(one_shot.eigenvalues, staged.eigenvalues);
+  expect_matches_jacobi(graph, options, staged);
 
   // Mismatched analysis dimensions are rejected.
   const auto wrong = clustering::analyze_spectrum(
@@ -206,25 +240,19 @@ TEST(Spectral, DeterministicForSameSeed) {
 
 TEST(Spectral, TridiagonalMethodRecoversSameClusters) {
   const auto graph = block_graph(3, 6);
-  clustering::SpectralOptions jacobi;
-  jacobi.cluster_count = 3;
-  jacobi.eigen_method = linalg::EigenMethod::kJacobi;
-  clustering::SpectralOptions tridiagonal = jacobi;
-  tridiagonal.eigen_method = linalg::EigenMethod::kTridiagonal;
-  const auto a = clustering::spectral_cluster(graph, jacobi);
-  const auto b = clustering::spectral_cluster(graph, tridiagonal);
-  EXPECT_TRUE(same_partition(a.labels, b.labels));
-  EXPECT_EQ(a.cluster_count, b.cluster_count);
+  clustering::SpectralOptions options;
+  options.cluster_count = 3;
+  const auto pairs =
+      clustering::needed_eigenpairs(options, graph.channels.size());
+  const auto result = clustering::spectral_cluster(
+      graph,
+      clustering::analyze_spectrum(graph.weights, options.laplacian,
+                                   linalg::EigenMethod::kTridiagonal, pairs),
+      options);
   // The tridiagonal path computes only the needed leading pairs; those
   // must agree with Jacobi's full spectrum.
-  const std::size_t shared =
-      std::min(a.eigenvalues.size(), b.eigenvalues.size());
-  ASSERT_EQ(b.eigenvalues.size(),
-            clustering::needed_eigenpairs(tridiagonal,
-                                          graph.channels.size()));
-  for (std::size_t i = 0; i < shared; ++i) {
-    EXPECT_NEAR(a.eigenvalues[i], b.eigenvalues[i], 1e-10) << "i=" << i;
-  }
+  ASSERT_EQ(result.eigenvalues.size(), pairs);
+  expect_matches_jacobi(graph, options, result);
 }
 
 TEST(Spectral, PartialAnalysisClustersLikeFullSpectrum) {
@@ -272,15 +300,19 @@ TEST(Spectral, NeededEigenpairsClampsToMatrixSize) {
 }
 
 TEST(Spectral, AutoMethodMatchesJacobiOnSmallGraphs) {
-  // Below the auto threshold the pipeline stays on Jacobi, so kAuto must
-  // be bitwise identical to explicitly requesting it.
+  // Paper-scale graphs take the tridiagonal partial path under kAuto; it
+  // must cluster like the Jacobi reference, for both Laplacians and for
+  // eigengap-chosen and fixed k.
   const auto graph = block_graph(3, 5);
-  clustering::SpectralOptions auto_opts;
-  auto_opts.eigen_method = linalg::EigenMethod::kAuto;
-  clustering::SpectralOptions jacobi_opts;
-  jacobi_opts.eigen_method = linalg::EigenMethod::kJacobi;
-  const auto a = clustering::spectral_cluster(graph, auto_opts);
-  const auto b = clustering::spectral_cluster(graph, jacobi_opts);
-  EXPECT_EQ(a.labels, b.labels);
-  EXPECT_EQ(a.eigenvalues, b.eigenvalues);
+  for (const auto kind : {clustering::LaplacianKind::kSymmetricNormalized,
+                          clustering::LaplacianKind::kUnnormalized}) {
+    for (const std::size_t k : {0u, 3u}) {
+      SCOPED_TRACE("k=" + std::to_string(k));
+      clustering::SpectralOptions options;
+      options.laplacian = kind;
+      options.cluster_count = k;
+      expect_matches_jacobi(graph, options,
+                            clustering::spectral_cluster(graph, options));
+    }
+  }
 }

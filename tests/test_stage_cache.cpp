@@ -85,14 +85,14 @@ const std::vector<core::SweepCase>& sweep_cases() {
 }  // namespace
 
 TEST(StageKeyHasher, OrderAndContentSensitive) {
-  core::StageKeyHasher a, b;
+  core::Fnv1a64 a, b;
   a.add(std::uint64_t{1});
   a.add(std::uint64_t{2});
   b.add(std::uint64_t{2});
   b.add(std::uint64_t{1});
   EXPECT_NE(a.value(), b.value());
 
-  core::StageKeyHasher c, d;
+  core::Fnv1a64 c, d;
   c.add(1.5);
   d.add(1.5);
   EXPECT_EQ(c.value(), d.value());
@@ -102,11 +102,11 @@ TEST(StageKeyHasher, OrderAndContentSensitive) {
 
 TEST(StageKeyHasher, NanPayloadsCollapse) {
   // Every NaN encoding is "a gap"; keys must not depend on the payload.
-  core::StageKeyHasher a, b;
+  core::Fnv1a64 a, b;
   a.add(std::nan("1"));
   b.add(std::nan("2"));
   EXPECT_EQ(a.value(), b.value());
-  core::StageKeyHasher c;
+  core::Fnv1a64 c;
   c.add(0.0);
   EXPECT_NE(a.value(), c.value());
 }
@@ -115,7 +115,7 @@ TEST(StageKeyHasher, MaskBitsMatter) {
   const std::vector<bool> mask_a{true, false, true};
   const std::vector<bool> mask_b{true, false, false};
   const std::vector<bool> mask_c{true, false};
-  core::StageKeyHasher a, b, c;
+  core::Fnv1a64 a, b, c;
   a.add(mask_a);
   b.add(mask_b);
   c.add(mask_c);
